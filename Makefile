@@ -1,7 +1,8 @@
 # Tier-1 verify is `make check` (build + vet + test); `make test-race`
 # additionally runs the concurrent ingest, streaming-source, network
-# serving, epoch-export, hierarchy-rollup, federation and durable-storage
-# paths under the race detector. `make bench` runs the hot-path benchmarks (Flowtree compression +
+# serving, epoch-export (the shared uplink and both front ends over it),
+# hierarchy-rollup, federation and durable-storage paths under the race
+# detector. `make bench` runs the hot-path benchmarks (Flowtree compression +
 # sharded ingest + streaming source + pipelined epoch export + multi-level
 # federation); `make bench-compare` re-measures compression throughput,
 # epoch-export turnaround, query selection, streaming ingest, federation
@@ -35,19 +36,21 @@ test:
 # The sharded ingest pipeline (datastore shards, flowstream fan-in), the
 # streaming source feeding it (flowsource bounded channels, storage retention
 # rings it races against), the concurrent epoch-export pipeline, the pooled
-# hierarchy rollup and the multi-level federation fleet (leaf ingest racing
-# rollups, re-ship racing EndEpoch at aggregator hops), the segmented FlowDB
-# (parallel Select merges racing the export writer) with the FlowQL layer
-# above it, the durable tier (WAL appends racing epoch seals, spill stores
-# racing re-export), and the primitives they drive are the packages with
-# real concurrency; the root package carries the integration tests.
+# hierarchy rollup, the uplink both export front ends ship through (ship
+# lock, ledger snapshots, bounded export pool) and the multi-level
+# federation fleet (leaf ingest racing rollups, re-ship racing EndEpoch at
+# aggregator hops), the segmented FlowDB (parallel Select merges racing the
+# export writer) with the FlowQL layer above it, the durable tier (WAL
+# appends racing epoch seals, spill stores racing re-export), and the
+# primitives they drive are the packages with real concurrency; the root
+# package carries the integration tests.
 test-race:
 	$(GO) test -race ./internal/datastore/ ./internal/flowstream/ \
 		./internal/flowsource/ ./internal/flowserve/ ./internal/storage/ \
 		./internal/storage/disk/ ./internal/storage/diskio/ \
 		./internal/flowdb/ ./internal/flowql/ \
 		./internal/flowtree/ ./internal/primitive/ \
-		./internal/hierarchy/ ./internal/federation/ .
+		./internal/hierarchy/ ./internal/uplink/ ./internal/federation/ .
 
 # Hot-path benchmarks: the sort-based bulk fold vs its heap baseline, bulk
 # ingest, structural clone, the streaming source vs the pre-materialized

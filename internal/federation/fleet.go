@@ -4,18 +4,15 @@
 // flowstream path. Each node seals its open-epoch Flowtree, re-compresses
 // to its own node budget, encodes the summary (full v2 or v3 delta frame
 // against the previous frame on its uplink) and ships it one hop up over
-// the metered simnet WAN. Transient link failures queue frames on the
-// sending node; re-shipment preserves per-uplink stream order, which is
-// the invariant delta chains decode under. The central site indexes every
+// the metered simnet WAN through its uplink.Sender; every receiving node
+// decodes through its uplink.Receiver. The central site indexes every
 // delivered top-level frame in a FlowDB.
 package federation
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"megadata/internal/flow"
@@ -23,9 +20,8 @@ import (
 	"megadata/internal/flowql"
 	"megadata/internal/flowtree"
 	"megadata/internal/simnet"
-	"megadata/internal/storage"
-	"megadata/internal/storage/disk"
 	"megadata/internal/storage/diskio"
+	"megadata/internal/uplink"
 )
 
 // FleetConfig parameterizes a multi-level export fleet.
@@ -58,8 +54,7 @@ type FleetConfig struct {
 	// min(level width, 8)).
 	ExportWorkers int
 	// DeltaExports ships v3 delta frames on every hop when churn permits
-	// (flowtree.AppendDeltaOrFull); receivers retain a per-child
-	// full-fidelity decode to apply the next delta onto.
+	// (chain rules: package uplink).
 	DeltaExports bool
 	// DeltaMaxChurn is the full-frame fallback threshold (default 0.5;
 	// negative disables the fallback).
@@ -71,14 +66,11 @@ type FleetConfig struct {
 	// deterministically from its seed (simnet.LinkPlan).
 	Plan simnet.LinkPlan
 	// QueueBytes caps the in-memory frame bytes each node may hold on its
-	// uplink queue (0 = unbounded). When a ship attempt leaves the queue
-	// over the cap, the oldest frames are evicted until it fits: spilled
-	// to the node's on-disk segment store when SpillDir is set, dropped
-	// and counted in DroppedExports otherwise.
+	// uplink queue (0 = unbounded); the oldest frames go first (cap rules:
+	// package uplink).
 	QueueBytes uint64
-	// SpillDir keeps queue-evicted frames on disk (one segment store per
-	// node under this directory) instead of dropping them, so multi-epoch
-	// WAN outages cost disk space, not data.
+	// SpillDir keeps cap-evicted frames on disk, one segment store per node
+	// under this directory, instead of dropping them.
 	SpillDir string
 	// FS overrides the filesystem spills go through (fault injection);
 	// nil means the real OS.
@@ -98,28 +90,10 @@ type FleetNode struct {
 	liveMu sync.Mutex
 	live   *flowtree.Tree
 
-	// shipMu serializes the node's drain-and-ship toward its parent
-	// (EndEpoch vs ReExportPending), so frames enter the uplink in
-	// stream order. pending and sendBase are guarded by it.
-	shipMu   sync.Mutex
-	pending  []fleetFrame
-	sendBase *flowtree.Tree
-
-	// recvMu guards recvBase: per-child full-fidelity reconstructions the
-	// next delta frame from that child applies onto.
-	recvMu   sync.Mutex
-	recvBase map[simnet.SiteID]*flowtree.Tree
-}
-
-// fleetFrame is one encoded epoch summary queued on a node's uplink. A
-// spilled frame's wire bytes live in the node's segment store; the queue
-// keeps only this marker.
-type fleetFrame struct {
-	start   time.Time
-	width   time.Duration
-	wire    []byte
-	delta   bool
-	spilled bool
+	// up ships the node's sealed epochs to its parent (nil at central);
+	// recv decodes its children's frames (nil at leaves).
+	up   *uplink.Sender
+	recv *uplink.Receiver
 }
 
 // Fleet is a running multi-level export federation.
@@ -133,18 +107,9 @@ type Fleet struct {
 	DB   *flowdb.DB
 	Root *FleetNode
 
-	levels  [][]*FleetNode // levels[d] = nodes at depth d, construction order
-	nodes   map[simnet.SiteID]*FleetNode
-	epoch   int
-	dropped atomic.Uint64
-
-	spillMu        sync.Mutex
-	spills         map[simnet.SiteID]*disk.SegmentStore
-	droppedExports atomic.Uint64
-	spilledFrames  atomic.Uint64
-	spilledBytes   atomic.Uint64
-	spillErrors    atomic.Uint64
-	corruptSpills  atomic.Uint64
+	levels [][]*FleetNode // levels[d] = nodes at depth d, construction order
+	nodes  map[simnet.SiteID]*FleetNode
+	epoch  int
 }
 
 // NewFleet builds and connects a multi-level export fleet.
@@ -179,10 +144,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		DB:    flowdb.New(),
 		nodes: make(map[simnet.SiteID]*FleetNode),
 	}
-	if cfg.SpillDir != "" {
-		fl.spills = make(map[simnet.SiteID]*disk.SegmentStore)
+	var keep func(uplink.Frame, uint64) bool
+	if cfg.QueueBytes > 0 {
+		keep = func(_ uplink.Frame, queued uint64) bool { return queued <= cfg.QueueBytes }
 	}
-	fl.Root = &FleetNode{ID: simnet.SiteID(cfg.Central), recvBase: make(map[simnet.SiteID]*flowtree.Tree)}
+	fl.Root = &FleetNode{ID: simnet.SiteID(cfg.Central), recv: uplink.NewReceiver(cfg.DeltaExports, cfg.CentralBudget)}
 	fl.nodes[fl.Root.ID] = fl.Root
 	fl.Net.AddSite(fl.Root.ID)
 	fl.levels = append(fl.levels, []*FleetNode{fl.Root})
@@ -203,9 +169,22 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 				return err
 			}
 			n := &FleetNode{
-				ID: id, Depth: depth, Parent: parent,
-				live:     live,
-				recvBase: make(map[simnet.SiteID]*flowtree.Tree),
+				ID: id, Depth: depth, Parent: parent, live: live,
+				up: uplink.NewSender(uplink.Config{
+					Name: string(id),
+					Send: func(bytes uint64) error {
+						_, err := fl.Net.Transfer(id, parent.ID, bytes)
+						return err
+					},
+					Keep:     keep,
+					Delta:    cfg.DeltaExports,
+					MaxChurn: cfg.DeltaMaxChurn,
+					SpillDir: cfg.SpillDir,
+					FS:       cfg.FS,
+				}),
+			}
+			if !leaf {
+				n.recv = uplink.NewReceiver(cfg.DeltaExports, 0)
 			}
 			parent.Children = append(parent.Children, n)
 			fl.nodes[id] = n
@@ -284,25 +263,13 @@ func (fl *Fleet) EndEpoch() error {
 		if workers <= 0 {
 			workers = min(len(level), 8)
 		}
-		var (
-			mu  sync.Mutex
-			wg  sync.WaitGroup
-			sem = make(chan struct{}, workers)
-		)
-		for _, n := range level {
-			wg.Add(1)
-			go func(n *FleetNode) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if _, err := fl.exportNode(n, epochStart); err != nil {
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
-				}
-			}(n)
-		}
-		wg.Wait() // barrier: parents seal only after the whole level shipped
+		levelErrs := make([]error, len(level))
+		// ForEach returns once the whole level shipped: the barrier that
+		// makes parents seal only after every child delivered.
+		uplink.ForEach(len(level), workers, func(i int) {
+			levelErrs[i] = fl.exportNode(level[i], epochStart)
+		})
+		errs = append(errs, levelErrs...)
 	}
 	fl.epoch++
 	return errors.Join(errs...)
@@ -331,265 +298,65 @@ func (fl *Fleet) seal(n *FleetNode) (*flowtree.Tree, error) {
 	return sealed, nil
 }
 
-// exportNode runs one node's seal -> encode -> ship hop and reports how
-// many frames it delivered. Frames still pending from earlier failures
-// ship first, preserving uplink stream order.
-func (fl *Fleet) exportNode(n *FleetNode, epochStart time.Time) (int, error) {
+// exportNode runs one node's seal -> encode -> ship hop. Frames still
+// pending from earlier failures ship first, preserving uplink stream order.
+func (fl *Fleet) exportNode(n *FleetNode, epochStart time.Time) error {
 	sealed, err := fl.seal(n)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	n.shipMu.Lock()
-	defer n.shipMu.Unlock()
-	fr := fleetFrame{start: epochStart, width: fl.cfg.Epoch}
-	if fl.cfg.DeltaExports {
-		fr.wire, fr.delta = sealed.AppendDeltaOrFull(nil, n.sendBase, fl.cfg.DeltaMaxChurn)
-		n.sendBase = sealed
-	} else {
-		fr.wire = sealed.AppendBinary(nil)
+	if _, err := n.up.Ship(epochStart, fl.cfg.Epoch, sealed, fl.deliverer(n)); err != nil {
+		return fmt.Errorf("federation: export %s -> %s: %w", n.ID, n.Parent.ID, err)
 	}
-	batch := append(n.pending, fr)
-	n.pending = nil
-	got, err := fl.shipFrames(n, batch)
-	fl.capQueue(n)
-	return got, err
+	return nil
 }
 
-// shipFrames transfers queued frames up one hop in order. Callers hold
-// n.shipMu. On a transfer failure the failed frame and everything behind
-// it re-queue (transient failures are swallowed); on a decode failure at
-// the receiver, the bad frame and any delta frames chained off it are
-// dropped (counted) and the sender chain resets if nothing decodable
-// remains.
-func (fl *Fleet) shipFrames(n *FleetNode, batch []fleetFrame) (int, error) {
-	delivered := 0
-	for i, fr := range batch {
-		wire := fr.wire
-		if fr.spilled {
-			var err error
-			if wire, err = fl.unspillFrame(n, fr); err != nil {
-				// The spilled frame is unreadable (corrupt payload, missing
-				// segment): counted and dropped — retrying would re-read the
-				// same bytes — and deltas chained off it can never apply.
-				fl.corruptSpills.Add(1)
-				fl.droppedExports.Add(1)
-				n.pending = fl.dropBrokenChain(n, batch[i+1:])
-				return delivered, fmt.Errorf("federation: read spilled frame of %s: %w", n.ID, err)
-			}
-		}
-		if _, err := fl.Net.Transfer(n.ID, n.Parent.ID, uint64(len(wire))); err != nil {
-			n.pending = batch[i:]
-			if errors.Is(err, simnet.ErrTransient) {
-				return delivered, nil
-			}
-			return delivered, fmt.Errorf("federation: export %s -> %s: %w", n.ID, n.Parent.ID, err)
-		}
-		if err := fl.deliver(n.Parent, n.ID, fr, wire); err != nil {
-			n.pending = fl.dropBrokenChain(n, batch[i+1:])
-			return delivered, fmt.Errorf("federation: decode frame of %s at %s: %w", n.ID, n.Parent.ID, err)
-		}
-		if fr.spilled {
-			fl.discardSpill(n, fr)
-		}
-		delivered++
-	}
-	return delivered, nil
-}
-
-// dropBrokenChain drops (counted) the leading delta frames of rest — frames
-// chained off a frame that was just dropped, which can therefore never
-// decode — clearing the sender's chain tail if nothing survives so the next
-// sealed epoch ships full. Without delta exports it is the identity.
-func (fl *Fleet) dropBrokenChain(n *FleetNode, rest []fleetFrame) []fleetFrame {
-	if !fl.cfg.DeltaExports {
-		return rest
-	}
-	j := 0
-	for j < len(rest) && rest[j].delta {
-		fl.discardSpill(n, rest[j])
-		fl.dropped.Add(1)
-		j++
-	}
-	rest = rest[j:]
-	if len(rest) == 0 {
-		n.sendBase = nil
-	}
-	return rest
-}
-
-// capQueue applies the uplink queue-byte cap to what is STILL queued after
-// a ship attempt (callers hold n.shipMu) — running after the ship means a
-// frame over budget still delivers whenever the WAN lets it through. Only
-// in-memory wire bytes count against the cap: spilled frames cost disk,
-// not memory. Oldest frames are evicted first — spilled when a spill tier
-// is configured, dropped and counted otherwise. Delta frames chained
-// behind a dropped frame drop too, and the chain tail resets if the chain
-// is still broken at the end of the queue.
-func (fl *Fleet) capQueue(n *FleetNode) {
-	if fl.cfg.QueueBytes == 0 || len(n.pending) == 0 {
-		return
-	}
-	mem := uint64(0)
-	for i := range n.pending {
-		mem += uint64(len(n.pending[i].wire))
-	}
-	kept := n.pending[:0]
-	broken := false
-	for _, fr := range n.pending {
-		switch {
-		case broken && fr.delta:
-			fl.discardSpill(n, fr)
-			fl.droppedExports.Add(1)
-		case fr.spilled || mem <= fl.cfg.QueueBytes:
-			kept = append(kept, fr)
-			broken = false
-		default:
-			mem -= uint64(len(fr.wire))
-			if fl.spillFrame(n, &fr) {
-				kept = append(kept, fr)
-				broken = false
-				continue
-			}
-			fl.droppedExports.Add(1)
-			broken = true
-		}
-	}
-	if broken && fl.cfg.DeltaExports {
-		n.sendBase = nil
-	}
-	n.pending = kept
-}
-
-// spillStore returns a node's on-disk spill store, opening it on first
-// use; nil without SpillDir or when the open fails (counted).
-func (fl *Fleet) spillStore(n *FleetNode) *disk.SegmentStore {
-	if fl.cfg.SpillDir == "" {
-		return nil
-	}
-	fl.spillMu.Lock()
-	defer fl.spillMu.Unlock()
-	if sp, ok := fl.spills[n.ID]; ok {
-		return sp
-	}
-	sp, err := disk.OpenSegmentStore(fl.cfg.FS, filepath.Join(fl.cfg.SpillDir, string(n.ID)))
-	if err != nil {
-		fl.spillErrors.Add(1)
-		return nil
-	}
-	fl.spills[n.ID] = sp
-	return sp
-}
-
-// spillFrame moves fr's wire bytes into the node's spill store, marking
-// the queue entry frameless on success. A failed spill write is counted
-// and reported false — the caller falls back to dropping the frame.
-func (fl *Fleet) spillFrame(n *FleetNode, fr *fleetFrame) bool {
-	sp := fl.spillStore(n)
-	if sp == nil {
-		return false
-	}
-	err := sp.Put(storage.Epoch[[]byte]{
-		Start: fr.start, Width: fr.width,
-		Size: uint64(len(fr.wire)), Payload: fr.wire,
-	})
-	if err != nil {
-		fl.spillErrors.Add(1)
-		return false
-	}
-	fl.spilledFrames.Add(1)
-	fl.spilledBytes.Add(uint64(len(fr.wire)))
-	fr.wire = nil
-	fr.spilled = true
-	return true
-}
-
-// unspillFrame reads a spilled frame back, checksum-verified.
-func (fl *Fleet) unspillFrame(n *FleetNode, fr fleetFrame) ([]byte, error) {
-	sp := fl.spillStore(n)
-	if sp == nil {
-		return nil, errors.New("federation: spill store unavailable")
-	}
-	wire, ok, err := sp.Get(fr.start)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("federation: spilled frame %v missing from disk", fr.start)
-	}
-	return wire, nil
-}
-
-// discardSpill deletes a delivered or dropped frame's on-disk bytes, if it
-// has any (best effort: an orphaned segment wastes space, nothing else).
-func (fl *Fleet) discardSpill(n *FleetNode, fr fleetFrame) {
-	if !fr.spilled {
-		return
-	}
-	if sp := fl.spillStore(n); sp != nil {
-		_, _ = sp.Drop(fr.start)
-	}
-}
-
-// deliver decodes one frame at the receiving hop: the central site indexes
-// it as a FlowDB row; an aggregator merges it into its open-epoch
-// accumulation. With delta exports the receiver retains the full-fidelity
-// reconstruction per child as the next delta's base.
-func (fl *Fleet) deliver(parent *FleetNode, child simnet.SiteID, fr fleetFrame, wire []byte) error {
-	var recon *flowtree.Tree
-	var err error
-	if fl.cfg.DeltaExports {
-		parent.recvMu.Lock()
-		base := parent.recvBase[child]
-		parent.recvMu.Unlock()
-		recon, err = flowtree.DecodeDelta(wire, base, 0)
+// deliverer returns the deliver func of n's uplink: the parent decodes each
+// frame, then central indexes it as a FlowDB row and an aggregator merges
+// it into its open-epoch accumulation.
+func (fl *Fleet) deliverer(n *FleetNode) func(uplink.Frame) error {
+	parent := n.Parent
+	return func(f uplink.Frame) error {
+		tree, err := parent.recv.Decode(string(n.ID), f.Wire)
 		if err != nil {
 			return err
 		}
-		parent.recvMu.Lock()
-		parent.recvBase[child] = recon
-		parent.recvMu.Unlock()
-	} else if recon, err = flowtree.Decode(wire, 0); err != nil {
-		return err
-	}
-	if parent == fl.Root {
-		row := recon
-		if fl.cfg.CentralBudget > 0 {
-			row = recon.Clone()
-			if err := row.SetBudget(fl.cfg.CentralBudget); err != nil {
-				return err
-			}
+		if parent == fl.Root {
+			return fl.DB.Insert(flowdb.Row{
+				Location: string(n.ID), Start: f.Start, Width: f.Width, Tree: tree,
+			})
 		}
-		return fl.DB.Insert(flowdb.Row{
-			Location: string(child), Start: fr.start, Width: fr.width, Tree: row,
-		})
+		parent.liveMu.Lock()
+		defer parent.liveMu.Unlock()
+		return parent.live.Merge(tree)
 	}
-	parent.liveMu.Lock()
-	defer parent.liveMu.Unlock()
-	return parent.live.Merge(recon)
+}
+
+// ledger sums every uplink's ledger fleet-wide.
+func (fl *Fleet) ledger() uplink.Ledger {
+	var l uplink.Ledger
+	for _, level := range fl.levels[1:] {
+		for _, n := range level {
+			l.Add(n.up.Ledger())
+		}
+	}
+	return l
 }
 
 // PendingExports counts frames queued on uplinks fleet-wide.
-func (fl *Fleet) PendingExports() int {
-	total := 0
-	for d := 1; d < len(fl.levels); d++ {
-		for _, n := range fl.levels[d] {
-			n.shipMu.Lock()
-			total += len(n.pending)
-			n.shipMu.Unlock()
-		}
-	}
-	return total
-}
+func (fl *Fleet) PendingExports() int { return int(fl.ledger().Pending) }
 
-// DroppedFrames counts frames dropped for chain integrity (deltas behind
-// an undecodable frame).
-func (fl *Fleet) DroppedFrames() int { return int(fl.dropped.Load()) }
+// DroppedFrames counts delta frames dropped because a receiver rejected the
+// frame they were chained behind (see package uplink). The rejected frames
+// themselves are not counted here.
+func (fl *Fleet) DroppedFrames() int { return int(fl.ledger().DroppedAfterReject) }
 
-// DroppedExports counts queued frames lost to the uplink queue cap: evicted
-// with no spill tier (or a failed spill write), unreadable when re-shipped
-// from disk, or chained behind either. Zero means every sealed epoch the
-// fleet produced was — or still can be — delivered.
-func (fl *Fleet) DroppedExports() int { return int(fl.droppedExports.Load()) }
+// DroppedExports counts queued frames the senders lost: evicted by the
+// uplink queue cap with no spill tier (or a failed spill write), unreadable
+// when re-shipped from disk, or chained behind either. Zero with
+// DroppedFrames zero means every sealed epoch the fleet produced was — or
+// still can be — delivered.
+func (fl *Fleet) DroppedExports() int { return int(fl.ledger().Dropped) }
 
 // FleetDiskStats reports the spill tier's counters.
 type FleetDiskStats struct {
@@ -607,11 +374,12 @@ type FleetDiskStats struct {
 
 // DiskStats snapshots the spill tier's counters.
 func (fl *Fleet) DiskStats() FleetDiskStats {
+	l := fl.ledger()
 	return FleetDiskStats{
-		SpilledFrames: fl.spilledFrames.Load(),
-		SpilledBytes:  fl.spilledBytes.Load(),
-		SpillErrors:   fl.spillErrors.Load(),
-		CorruptSpills: fl.corruptSpills.Load(),
+		SpilledFrames: l.Spilled,
+		SpilledBytes:  l.SpilledBytes,
+		SpillErrors:   l.SpillErrors,
+		CorruptSpills: l.CorruptSpills,
 	}
 }
 
@@ -627,19 +395,10 @@ func (fl *Fleet) ReExportPending() (int, error) {
 	var errs []error
 	for d := len(fl.levels) - 1; d >= 1; d-- {
 		for _, n := range fl.levels[d] {
-			n.shipMu.Lock()
-			if len(n.pending) == 0 {
-				n.shipMu.Unlock()
-				continue
-			}
-			batch := n.pending
-			n.pending = nil
-			got, err := fl.shipFrames(n, batch)
-			fl.capQueue(n)
-			n.shipMu.Unlock()
+			got, err := n.up.Reship(fl.deliverer(n))
 			delivered += got
 			if err != nil {
-				errs = append(errs, err)
+				errs = append(errs, fmt.Errorf("federation: re-export %s -> %s: %w", n.ID, n.Parent.ID, err))
 			}
 		}
 	}
@@ -672,7 +431,7 @@ func (fl *Fleet) Drain(maxRounds int) error {
 				if empty {
 					continue
 				}
-				if _, err := fl.exportNode(n, epochStart); err != nil {
+				if err := fl.exportNode(n, epochStart); err != nil {
 					return err
 				}
 				flushed++

@@ -8,6 +8,7 @@ import (
 	"megadata/internal/flowtree"
 	"megadata/internal/primitive"
 	"megadata/internal/simnet"
+	"megadata/internal/uplink"
 	"megadata/internal/workload"
 )
 
@@ -284,9 +285,9 @@ func TestShipRequeuesBehindDecodeFailure(t *testing.T) {
 		t.Fatalf("pending=%d, want 2", sys.PendingExports())
 	}
 	// Corrupt the oldest queued blob and bring the link back up.
-	sys.pendMu.Lock()
-	sys.pending["edge"][0].wire = []byte("not a flowtree")
-	sys.pendMu.Unlock()
+	sys.uplinks["edge"].Inspect(func(q []uplink.Frame) {
+		q[0].Wire = []byte("not a flowtree")
+	})
 	up := simnet.Link{BytesPerSecond: 10e6, Latency: time.Millisecond}
 	if err := sys.Net.Connect("edge", sys.central, up); err != nil {
 		t.Fatal(err)
