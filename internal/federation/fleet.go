@@ -353,9 +353,10 @@ func (fl *Fleet) DroppedFrames() int { return int(fl.ledger().DroppedAfterReject
 
 // DroppedExports counts queued frames the senders lost: evicted by the
 // uplink queue cap with no spill tier (or a failed spill write), unreadable
-// when re-shipped from disk, or chained behind either. Zero with
-// DroppedFrames zero means every sealed epoch the fleet produced was — or
-// still can be — delivered.
+// when re-shipped from disk, or chained behind either. A frame a receiver
+// rejects is counted in neither this nor DroppedFrames (only the deltas
+// chained behind it are, in DroppedFrames), so both reading zero does not
+// by itself mean every sealed epoch was delivered.
 func (fl *Fleet) DroppedExports() int { return int(fl.ledger().Dropped) }
 
 // FleetDiskStats reports the spill tier's counters.

@@ -467,11 +467,12 @@ func (s *System) ledger() uplink.Ledger {
 	return l
 }
 
-// DroppedExports reports how many sealed epochs will never reach central:
-// queued epochs local retention evicted with no spill tier to take them
-// (the honest alternative to re-shipping data the site no longer holds),
-// spilled epochs unreadable from disk, and the delta frames chained behind
-// either — or behind a frame central rejected (see package uplink).
+// DroppedExports counts queued epochs the sites lost: epochs local
+// retention evicted with no spill tier to take them (the honest alternative
+// to re-shipping data the site no longer holds), spilled epochs unreadable
+// from disk, and the delta frames chained behind either or behind a frame
+// central rejected (see package uplink). The rejected frame itself is not
+// counted here.
 func (s *System) DroppedExports() int {
 	l := s.ledger()
 	return int(l.Dropped + l.DroppedAfterReject)
