@@ -4,19 +4,14 @@
 # hierarchy-rollup, federation and durable-storage paths under the race
 # detector. `make bench` runs the hot-path benchmarks (Flowtree compression +
 # sharded ingest + streaming source + pipelined epoch export + multi-level
-# federation); `make bench-compare` re-measures compression throughput,
-# epoch-export turnaround, query selection, streaming ingest, federation
-# turnaround, WAL'd-ingest overhead, standing-view maintenance and the
-# network serving layer and fails on a regression against the checked-in
-# BENCH_compress.json / BENCH_epoch.json / BENCH_query.json /
-# BENCH_stream.json / BENCH_fed.json / BENCH_durable.json /
-# BENCH_subscribe.json / BENCH_serve.json baselines (wall-clock
-# experiments get the wider tolerance; the compress and stream gates also
-# hold allocs/op and bytes/op flat, and the subscribe gate hard-fails below
-# 10x over polling). `make fuzz-smoke` gives the record, tree-wire,
-# tree-delta, disk-segment and FlowQL-statement decoders a short
-# corpus-guided fuzz run; `make cover` writes cover.out and prints
-# per-package and total statement coverage.
+# federation); `make bench-compare` runs cmd/benchreport's eight gated
+# experiments (compression throughput, epoch-export turnaround, query
+# selection, streaming ingest, federation turnaround, WAL'd-ingest overhead,
+# standing-view maintenance and the network serving layer) and fails on a
+# regression against each one's checked-in BENCH_<exp>.json baseline.
+# `make fuzz-smoke` gives the record, tree-wire, tree-delta, disk-segment and
+# FlowQL-statement decoders a short corpus-guided fuzz run; `make cover`
+# writes cover.out and prints per-package and total statement coverage.
 
 GO ?= go
 
@@ -73,42 +68,20 @@ bench:
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Refresh the perf baselines (run on the reference host).
+# Refresh the perf baselines, BENCH_<exp>.json (run on the reference host).
 bench-baseline:
-	$(GO) run ./cmd/benchreport -exp compress -out BENCH_compress.json
-	$(GO) run ./cmd/benchreport -exp epoch -out BENCH_epoch.json
-	$(GO) run ./cmd/benchreport -exp query -out BENCH_query.json
-	$(GO) run ./cmd/benchreport -exp stream -out BENCH_stream.json
-	$(GO) run ./cmd/benchreport -exp fed -out BENCH_fed.json
-	$(GO) run ./cmd/benchreport -exp durable -out BENCH_durable.json
-	$(GO) run ./cmd/benchreport -exp subscribe -out BENCH_subscribe.json
-	$(GO) run ./cmd/benchreport -exp serve -out BENCH_serve.json
+	$(GO) run ./cmd/benchreport -exp gated -write
 
-# Guard the perf trajectory: fail when compression throughput, pipelined
-# epoch-export turnaround, segmented-select query throughput, streaming
-# ingest throughput, federation epoch turnaround or WAL'd ingest throughput
-# drops below the checked-in baselines (10% for the CPU-bound fold, 30% for
-# the wall-clock paced export/federation and the scheduler- and
-# fsync-sensitive query/stream/durable paths), or when the measured
-# configurations drift from the baseline (the benchreport binary exits 2
-# for drift, which CI treats as a hard failure even where regressions are
-# only warnings). The durable experiment additionally hard-fails whenever
-# WAL'd ingest falls below 0.8x of the in-memory path, baseline or not, and
-# the subscribe experiment hard-fails whenever incremental standing views
-# fall below 10x of cold-Select polling at 8 views — that within-run ratio
-# is the primary gate, so its baseline compare runs at a wider tolerance
-# meant to catch collapse rather than runner jitter. The serve experiment
-# likewise hard-fails whenever loopback-socket ingest falls below 25% of
-# in-process ingest within the same run.
+# Guard the perf trajectory: run all eight gated experiments against their
+# checked-in baselines. Each experiment's tolerance, gated metrics and the
+# one drift rule live in cmd/benchreport's spec table; the binary exits 2 on
+# drift (a baseline that no longer matches what the experiment measures),
+# which CI treats as a hard failure even where regressions (exit 1) are only
+# warnings. The stream, durable, subscribe and serve experiments also
+# hard-fail (exit 1) when they miss a floor between two paths of the same
+# run, baseline or not.
 bench-compare:
-	$(GO) run ./cmd/benchreport -exp compress -compare BENCH_compress.json
-	$(GO) run ./cmd/benchreport -exp epoch -compare BENCH_epoch.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp query -compare BENCH_query.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp stream -compare BENCH_stream.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp fed -compare BENCH_fed.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp durable -compare BENCH_durable.json -tol 0.30
-	$(GO) run ./cmd/benchreport -exp subscribe -compare BENCH_subscribe.json -tol 0.50
-	$(GO) run ./cmd/benchreport -exp serve -compare BENCH_serve.json -tol 0.50
+	$(GO) run ./cmd/benchreport -exp gated -compare
 
 # Short corpus-guided fuzz runs of the attacker-facing wire decoders: the
 # flowsource record/frame codec, the Flowtree wire (v1/v2) decoder, the

@@ -2,36 +2,18 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
-	"megadata/internal/datastore"
 	"megadata/internal/flow"
 	"megadata/internal/flowsource"
-	"megadata/internal/primitive"
 	"megadata/internal/storage/disk"
 	"megadata/internal/workload"
 )
-
-// durableBaseline is the JSON schema of BENCH_durable.json: WAL-on vs
-// in-memory streaming ingest throughput per fsync cadence.
-type durableBaseline struct {
-	Experiment string         `json:"experiment"`
-	Records    int            `json:"records"`
-	MaxBatch   int            `json:"max_batch"`
-	Entries    []durableEntry `json:"entries"`
-}
-
-type durableEntry struct {
-	SyncEvery int     `json:"sync_every"`
-	MemRPS    float64 `json:"mem_rec_per_sec"`
-	WALRPS    float64 `json:"wal_rec_per_sec"`
-	Ratio     float64 `json:"ratio"`
-}
 
 // reportDurable measures what crash safety costs on the streaming ingest
 // leg: the same framed trace is consumed once with no journal and once
@@ -48,14 +30,11 @@ type durableEntry struct {
 // critical path (~0.7x) while any second proc lets the fsync overlap
 // ingest (~0.95x). A durable deployment needs GOMAXPROCS >= 2; the gate
 // measures that supported configuration. The WAL'd path must hold at least 0.8x of the
-// in-memory path; with -out the numbers become the BENCH_durable.json
-// baseline, with -compare a WAL-path regression beyond tol (or
-// configuration drift) fails the run.
-func reportDurable(outPath, comparePath string, tol float64) error {
+// in-memory path within the run; the gate holds the WAL'd throughput.
+func reportDurable() (baseline, error) {
 	const records = 500_000
 	const maxBatch = 4096
 	const depth = 4
-	const budget = 4096
 	if procs := runtime.GOMAXPROCS(0); procs < 2 {
 		runtime.GOMAXPROCS(2)
 		defer runtime.GOMAXPROCS(procs)
@@ -64,32 +43,17 @@ func reportDurable(outPath, comparePath string, tol float64) error {
 		runtime.GOMAXPROCS(0), records)
 	g, err := workload.NewFlowGen(workload.FlowConfig{Seed: 42, Skew: 1.2})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	recs := g.Records(records)
 	var wire []byte
 	for _, r := range recs {
 		wire = flowsource.AppendFrame(wire, r)
 	}
-	newStore := func() (*datastore.Store, error) {
-		s := datastore.New("edge", nil)
-		err := s.Register(datastore.AggregatorConfig{
-			Name: "flows",
-			New: func() (primitive.Aggregator, error) {
-				return primitive.NewFlowtree("flows", budget)
-			},
-			Strategy:    datastore.StrategyRoundRobin,
-			BudgetBytes: 64 << 20,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s, s.Subscribe("router", "flows")
-	}
 	// consume runs one full pass of the trace through a fresh source and
 	// store, returning records per second.
 	consume := func(journal func(string, []flow.Record) error) (float64, error) {
-		store, err := newStore()
+		store, err := newStore(1)
 		if err != nil {
 			return 0, err
 		}
@@ -126,121 +90,45 @@ func reportDurable(outPath, comparePath string, tol float64) error {
 		}
 		return rps, nil
 	}
-	base := durableBaseline{Experiment: "durable", Records: records, MaxBatch: maxBatch}
+	var entries []cell
 	fmt.Println("| fsync every | in-memory rec/s | WAL rec/s | WAL/mem |")
 	fmt.Println("|---|---|---|---|")
 	var tooSlow bool
 	for _, syncEvery := range []int{256, 4096} {
-		var memBest, walBest float64
-		for rep := 0; rep < 5; rep++ {
-			rps, err := consume(nil)
-			if err != nil {
-				return err
-			}
-			if rps > memBest {
-				memBest = rps
-			}
+		walPass := func() (float64, error) {
 			dir, err := os.MkdirTemp("", "benchwal")
 			if err != nil {
-				return err
+				return 0, err
 			}
 			ws, err := disk.OpenWALSet(nil, dir, syncEvery)
 			if err != nil {
-				return err
+				return 0, err
 			}
-			rps, err = consume(ws.Append)
+			rps, err := consume(ws.Append)
 			closeErr := ws.Close()
 			os.RemoveAll(dir)
 			if err != nil {
-				return err
+				return 0, err
 			}
-			if closeErr != nil {
-				return closeErr
-			}
-			if rps > walBest {
-				walBest = rps
-			}
+			return rps, closeErr
 		}
+		runs, err := passes(5, func() (float64, error) { return consume(nil) }, walPass)
+		if err != nil {
+			return nil, err
+		}
+		memBest, walBest := slices.Max(runs[0]), slices.Max(runs[1])
 		ratio := walBest / memBest
 		fmt.Printf("| %d | %.0f | %.0f | %.2fx |\n", syncEvery, memBest, walBest, ratio)
 		if ratio < 0.8 {
 			tooSlow = true
 		}
-		base.Entries = append(base.Entries, durableEntry{
-			SyncEvery: syncEvery, MemRPS: memBest, WALRPS: walBest, Ratio: ratio,
+		entries = append(entries, cell{
+			"sync_every": float64(syncEvery), "mem_rec_per_sec": memBest, "wal_rec_per_sec": walBest, "ratio": ratio,
 		})
 	}
-	if outPath != "" {
-		buf, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbaseline written to %s\n", outPath)
-	}
-	if comparePath != "" {
-		if err := compareDurable(base, comparePath, tol); err != nil {
-			return err
-		}
-	}
+	b := baseline{"": {{"records": records, "max_batch": maxBatch}}, "entries": entries}
 	if tooSlow {
-		return errors.New("WAL'd streaming ingest fell below 0.8x of the in-memory path")
+		return b, errors.New("WAL'd streaming ingest fell below 0.8x of the in-memory path")
 	}
-	return nil
-}
-
-// compareDurable diffs freshly measured WAL'd ingest throughput against a
-// stored baseline with the same drift rules as the other gates: a WAL-path
-// regression beyond tol fails, and any configuration drift exits 2 so CI
-// can distinguish it from runner noise.
-func compareDurable(fresh durableBaseline, comparePath string, tol float64) error {
-	buf, err := os.ReadFile(comparePath)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var stored durableBaseline
-	if err := json.Unmarshal(buf, &stored); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", comparePath, err)
-	}
-	if stored.Records != fresh.Records || stored.MaxBatch != fresh.MaxBatch {
-		return fmt.Errorf("%w: baseline %s measured %d records / batch %d, this run %d / %d — regenerate the baseline",
-			errDrift, comparePath, stored.Records, stored.MaxBatch, fresh.Records, fresh.MaxBatch)
-	}
-	byCfg := make(map[int]durableEntry, len(stored.Entries))
-	for _, e := range stored.Entries {
-		byCfg[e.SyncEvery] = e
-	}
-	fmt.Printf("\ncomparison vs %s (tolerance %.0f%%):\n", comparePath, tol*100)
-	var regressed, drifted bool
-	matched := 0
-	for _, e := range fresh.Entries {
-		want, ok := byCfg[e.SyncEvery]
-		if !ok {
-			fmt.Printf("  sync=%d: MISSING from baseline\n", e.SyncEvery)
-			drifted = true
-			continue
-		}
-		matched++
-		ratio := e.WALRPS / want.WALRPS
-		verdict := "ok"
-		if ratio < 1-tol {
-			verdict = "REGRESSION"
-			regressed = true
-		}
-		fmt.Printf("  sync=%d: %.0f vs %.0f WAL rec/s (%.2fx) %s\n",
-			e.SyncEvery, e.WALRPS, want.WALRPS, ratio, verdict)
-	}
-	if matched != len(stored.Entries) {
-		fmt.Printf("  %d baseline entr(ies) not re-measured\n", len(stored.Entries)-matched)
-		drifted = true
-	}
-	switch {
-	case drifted:
-		return fmt.Errorf("%w: durable gate vs %s — regenerate with make bench-baseline", errDrift, comparePath)
-	case regressed:
-		return fmt.Errorf("WAL'd ingest throughput gate failed against %s", comparePath)
-	}
-	return nil
+	return b, nil
 }

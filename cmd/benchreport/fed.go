@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -13,32 +11,14 @@ import (
 	"megadata/internal/workload"
 )
 
-// fedBaseline is the JSON schema of BENCH_fed.json: serial and pipelined
-// per-epoch federation turnaround per (sites, levels) configuration.
-type fedBaseline struct {
-	Experiment     string     `json:"experiment"`
-	RecordsPerLeaf int        `json:"records_per_leaf"`
-	Entries        []fedEntry `json:"entries"`
-}
-
-type fedEntry struct {
-	Sites        int     `json:"sites"`
-	Levels       int     `json:"levels"`
-	SerialEPS    float64 `json:"serial_epochs_per_sec"`
-	PipelinedEPS float64 `json:"pipelined_epochs_per_sec"`
-	Speedup      float64 `json:"speedup"`
-}
-
 // reportFed measures multi-level federation turnaround — EndEpoch wall time
 // for a whole fleet with the WAN paced to occupy real time — across a
 // sites x levels grid, serial (one export worker per level) vs pipelined.
 // The serial path pays every uplink's latency+transfer in sequence, so it
 // grows linearly with fleet size; the pipelined path is bounded by the
 // slowest hop plus shared merge CPU, which is the scale-out claim the
-// federation layer makes. With -out the numbers become the BENCH_fed.json
-// baseline; with -compare a pipelined-turnaround regression beyond tol (or
-// any configuration drift) fails the run.
-func reportFed(outPath, comparePath string, tol float64) error {
+// federation layer makes. The gate holds the pipelined turnaround.
+func reportFed() (baseline, error) {
 	const recordsPerLeaf = 50
 	fmt.Printf("## Fed — multi-level federation epoch turnaround, pipelined vs serial (GOMAXPROCS=%d, paced WAN)\n\n",
 		runtime.GOMAXPROCS(0))
@@ -61,7 +41,8 @@ func reportFed(outPath, comparePath string, tol float64) error {
 		recordSets[sites] = recs
 		return recs, nil
 	}
-	measure := func(sites, levels, workers int) (time.Duration, error) {
+	// measure returns the best of three epochs in EndEpochs per second.
+	measure := func(sites, levels, workers int) (float64, error) {
 		fanout, err := federation.FanoutFor(sites, levels)
 		if err != nil {
 			return 0, err
@@ -82,8 +63,7 @@ func reportFed(outPath, comparePath string, tol float64) error {
 			return 0, err
 		}
 		leaves := fl.Leaves()
-		var best time.Duration
-		for rep := 0; rep < 3; rep++ {
+		return fastest(3, func() (float64, error) {
 			for i, leaf := range leaves {
 				if err := fl.Ingest(leaf.ID, recs[i]); err != nil {
 					return 0, err
@@ -93,102 +73,28 @@ func reportFed(outPath, comparePath string, tol float64) error {
 			if err := fl.EndEpoch(); err != nil {
 				return 0, err
 			}
-			if d := time.Since(start); rep == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
+			return 1 / time.Since(start).Seconds(), nil
+		})
 	}
-	base := fedBaseline{Experiment: "fed", RecordsPerLeaf: recordsPerLeaf}
+	var entries []cell
 	fmt.Println("| sites | levels | serial EndEpoch | pipelined EndEpoch | speedup |")
 	fmt.Println("|---|---|---|---|---|")
 	for _, sites := range []int{64, 256} {
 		for _, levels := range []int{2, 3} {
 			serial, err := measure(sites, levels, 1)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			piped, err := measure(sites, levels, 0)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			speedup := serial.Seconds() / piped.Seconds()
-			fmt.Printf("| %d | %d | %v | %v | %.2fx |\n",
-				sites, levels, serial.Round(10*time.Microsecond), piped.Round(10*time.Microsecond), speedup)
-			base.Entries = append(base.Entries, fedEntry{
-				Sites: sites, Levels: levels,
-				SerialEPS:    1 / serial.Seconds(),
-				PipelinedEPS: 1 / piped.Seconds(),
-				Speedup:      speedup,
+			fmt.Printf("| %d | %d | %v | %v | %.2fx |\n", sites, levels, perOp(serial), perOp(piped), piped/serial)
+			entries = append(entries, cell{
+				"sites": float64(sites), "levels": float64(levels),
+				"serial_epochs_per_sec": serial, "pipelined_epochs_per_sec": piped, "speedup": piped / serial,
 			})
 		}
 	}
-	if outPath != "" {
-		buf, err := json.MarshalIndent(base, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbaseline written to %s\n", outPath)
-	}
-	if comparePath != "" {
-		return compareFed(base, comparePath, tol)
-	}
-	return nil
-}
-
-// compareFed diffs freshly measured federation turnaround against a stored
-// baseline with the same drift rules as the other gates: a pipelined
-// regression beyond tol fails, and any configuration drift exits 2 so CI
-// can distinguish it from runner noise.
-func compareFed(fresh fedBaseline, comparePath string, tol float64) error {
-	buf, err := os.ReadFile(comparePath)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var stored fedBaseline
-	if err := json.Unmarshal(buf, &stored); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", comparePath, err)
-	}
-	if stored.RecordsPerLeaf != fresh.RecordsPerLeaf {
-		return fmt.Errorf("%w: baseline %s measured %d records/leaf, this run %d — regenerate the baseline",
-			errDrift, comparePath, stored.RecordsPerLeaf, fresh.RecordsPerLeaf)
-	}
-	byCfg := make(map[[2]int]fedEntry, len(stored.Entries))
-	for _, e := range stored.Entries {
-		byCfg[[2]int{e.Sites, e.Levels}] = e
-	}
-	fmt.Printf("\ncomparison vs %s (tolerance %.0f%%):\n", comparePath, tol*100)
-	var regressed, drifted bool
-	matched := 0
-	for _, e := range fresh.Entries {
-		want, ok := byCfg[[2]int{e.Sites, e.Levels}]
-		if !ok {
-			fmt.Printf("  sites=%d levels=%d: MISSING from baseline\n", e.Sites, e.Levels)
-			drifted = true
-			continue
-		}
-		matched++
-		ratio := e.PipelinedEPS / want.PipelinedEPS
-		verdict := "ok"
-		if ratio < 1-tol {
-			verdict = "REGRESSION"
-			regressed = true
-		}
-		fmt.Printf("  sites=%d levels=%d: %.1f vs %.1f epochs/s (%.2fx) %s\n",
-			e.Sites, e.Levels, e.PipelinedEPS, want.PipelinedEPS, ratio, verdict)
-	}
-	if matched != len(stored.Entries) {
-		fmt.Printf("  %d baseline entr(ies) not re-measured\n", len(stored.Entries)-matched)
-		drifted = true
-	}
-	switch {
-	case drifted:
-		return fmt.Errorf("%w: federation gate vs %s — regenerate with make bench-baseline", errDrift, comparePath)
-	case regressed:
-		return fmt.Errorf("federation turnaround gate failed against %s", comparePath)
-	}
-	return nil
+	return baseline{"": {{"records_per_leaf": recordsPerLeaf}}, "entries": entries}, nil
 }

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,20 +17,6 @@ import (
 	"megadata/internal/workload"
 )
 
-// serveBaseline is the JSON schema of BENCH_serve.json: the serving
-// layer's two legs — framed-record ingest over a loopback socket vs the
-// same bytes consumed in-process, and FlowQL queries over HTTP.
-type serveBaseline struct {
-	Experiment string  `json:"experiment"`
-	Records    int     `json:"records"`
-	Queries    int     `json:"queries"`
-	Clients    int     `json:"clients"`
-	SocketRPS  float64 `json:"socket_records_per_sec"`
-	InprocRPS  float64 `json:"inproc_records_per_sec"`
-	NetRatio   float64 `json:"net_ratio"`
-	QueryQPS   float64 `json:"query_qps"`
-}
-
 // reportServe measures what the network face costs: the same pre-rendered
 // framed epoch is decoded once through a loopback TCP connection into the
 // ingest listener and once via in-process ConsumeStream, records/sec each
@@ -42,20 +25,18 @@ type serveBaseline struct {
 // the two paths on the same runner so machine speed cancels out. The
 // query leg serves one epoch of data and hammers POST /query from
 // concurrent keep-alive clients (the memo-hit path a dashboard fleet
-// exercises), reporting queries/sec. With -out the numbers become the
-// BENCH_serve.json baseline; with -compare a socket-ingest or query-QPS
-// regression beyond tol fails the run and configuration drift exits 2.
-func reportServe(outPath, comparePath string, tol float64) error {
+// exercises), reporting queries/sec. The gate holds both the socket-ingest
+// and the query leg.
+func reportServe() (baseline, error) {
 	const records = 200000
 	const queries = 1500
 	const clients = 6
 	fmt.Printf("## Serve — network ingest + FlowQL-over-HTTP throughput (GOMAXPROCS=%d, %d records)\n\n",
 		runtime.GOMAXPROCS(0), records)
 
-	t0 := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
 	render := func() ([]byte, error) {
 		gen, err := flowsource.NewGenerator(flowsource.GenConfig{
-			Workload: workload.FlowConfig{Seed: 7, Start: t0},
+			Workload: workload.FlowConfig{Seed: 7, Start: epoch0},
 			Records:  records,
 			Epoch:    time.Minute,
 		})
@@ -70,14 +51,14 @@ func reportServe(outPath, comparePath string, tol float64) error {
 	}
 	wire, err := render()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	newSys := func() (*flowstream.System, error) {
 		return flowstream.New(flowstream.Config{
 			Sites:      []string{"west"},
 			TreeBudget: 4096,
 			Epoch:      time.Minute,
-			Start:      t0,
+			Start:      epoch0,
 			Source:     &flowsource.Config{},
 		})
 	}
@@ -189,92 +170,23 @@ func reportServe(outPath, comparePath string, tol float64) error {
 		return float64(clients*(queries/clients)) / elapsed, nil
 	}
 
-	const reps = 5
-	sockRuns := make([]float64, 0, reps)
-	inRuns := make([]float64, 0, reps)
-	qpsRuns := make([]float64, 0, reps)
-	for rep := 0; rep < reps; rep++ {
-		v, err := socket()
-		if err != nil {
-			return err
-		}
-		sockRuns = append(sockRuns, v)
-		v, err = inproc()
-		if err != nil {
-			return err
-		}
-		inRuns = append(inRuns, v)
-		v, err = query()
-		if err != nil {
-			return err
-		}
-		qpsRuns = append(qpsRuns, v)
+	runs, err := passes(5, socket, inproc, query)
+	if err != nil {
+		return nil, err
 	}
-	sockMed, inMed, qpsMed := median(sockRuns), median(inRuns), median(qpsRuns)
+	sockMed, inMed, qpsMed := median(runs[0]), median(runs[1]), median(runs[2])
 	ratio := sockMed / inMed
 	fmt.Println("| leg | throughput |")
 	fmt.Println("|---|---|")
 	fmt.Printf("| ingest, loopback socket | %.0f records/s |\n", sockMed)
 	fmt.Printf("| ingest, in-process | %.0f records/s (socket holds %.0f%%) |\n", inMed, ratio*100)
 	fmt.Printf("| POST /query, %d clients | %.0f queries/s |\n", clients, qpsMed)
-
-	fresh := serveBaseline{
-		Experiment: "serve", Records: records, Queries: queries, Clients: clients,
-		SocketRPS: sockMed, InprocRPS: inMed, NetRatio: ratio, QueryQPS: qpsMed,
-	}
-	if outPath != "" {
-		buf, err := json.MarshalIndent(fresh, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbaseline written to %s\n", outPath)
-	}
-	if comparePath != "" {
-		if err := compareServe(fresh, comparePath, tol); err != nil {
-			return err
-		}
-	}
+	b := baseline{"": {{
+		"records": records, "queries": queries, "clients": clients,
+		"socket_records_per_sec": sockMed, "inproc_records_per_sec": inMed, "net_ratio": ratio, "query_qps": qpsMed,
+	}}}
 	if ratio < 0.25 {
-		return fmt.Errorf("loopback ingest fell to %.0f%% of in-process throughput (floor 25%%)", ratio*100)
+		return b, fmt.Errorf("loopback ingest fell to %.0f%% of in-process throughput (floor 25%%)", ratio*100)
 	}
-	return nil
-}
-
-// compareServe diffs fresh serving throughput against a stored baseline:
-// regressions beyond tol on the socket-ingest or query leg fail, and any
-// configuration drift exits 2 so CI can distinguish it from runner noise.
-func compareServe(fresh serveBaseline, comparePath string, tol float64) error {
-	buf, err := os.ReadFile(comparePath)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var stored serveBaseline
-	if err := json.Unmarshal(buf, &stored); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", comparePath, err)
-	}
-	if stored.Records != fresh.Records || stored.Queries != fresh.Queries || stored.Clients != fresh.Clients {
-		return fmt.Errorf("%w: baseline %s measured %d records / %d queries x %d clients, this run %d / %d x %d — regenerate the baseline",
-			errDrift, comparePath, stored.Records, stored.Queries, stored.Clients,
-			fresh.Records, fresh.Queries, fresh.Clients)
-	}
-	fmt.Printf("\ncomparison vs %s (tolerance %.0f%%):\n", comparePath, tol*100)
-	var regressed bool
-	check := func(leg string, got, want float64) {
-		ratio := got / want
-		verdict := "ok"
-		if ratio < 1-tol {
-			verdict = "REGRESSION"
-			regressed = true
-		}
-		fmt.Printf("  %s: %.0f vs %.0f (%.2fx) %s\n", leg, got, want, ratio, verdict)
-	}
-	check("socket ingest records/s", fresh.SocketRPS, stored.SocketRPS)
-	check("query qps", fresh.QueryQPS, stored.QueryQPS)
-	if regressed {
-		return errors.New("serving-layer throughput gate failed against " + comparePath)
-	}
-	return nil
+	return b, nil
 }

@@ -1,40 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
 	"time"
 
-	"megadata/internal/flow"
 	"megadata/internal/flowdb"
-	"megadata/internal/flowtree"
 )
-
-// subscribeBaseline is the JSON schema of BENCH_subscribe.json:
-// incremental standing-view maintenance vs cold-Select polling, per view
-// count, over a fixed preloaded index.
-type subscribeBaseline struct {
-	Experiment string `json:"experiment"`
-	Rows       int    `json:"rows"`
-	// IncEpochs / PollEpochs are the per-path epoch counts: the
-	// incremental pass is microseconds per epoch and needs a long run to
-	// out-measure scheduler noise; the poll pass is milliseconds per epoch
-	// and a long run would take minutes.
-	IncEpochs  int              `json:"inc_epochs"`
-	PollEpochs int              `json:"poll_epochs"`
-	Entries    []subscribeEntry `json:"entries"`
-}
-
-type subscribeEntry struct {
-	Views   int     `json:"views"`
-	IncUPS  float64 `json:"incremental_updates_per_sec"`
-	PollUPS float64 `json:"poll_updates_per_sec"`
-	Speedup float64 `json:"speedup"`
-}
 
 // reportSubscribe measures what delta maintenance buys a standing
 // dashboard: N per-location views over a 100k-row FlowDB, one epoch batch
@@ -50,44 +23,23 @@ type subscribeEntry struct {
 // twenty, so both measurements out-run scheduler noise. The 8-view
 // configuration must hold at least 10x over polling — the PR's
 // acceptance gate, and deliberately an absolute floor: it compares the
-// two paths within one run, so a slow runner cancels out. With -out the
-// numbers become the BENCH_subscribe.json baseline, with -compare an
-// incremental-path regression beyond tol (or configuration drift) fails
-// the run.
-func reportSubscribe(outPath, comparePath string, tol float64) error {
+// two paths within one run, so a slow runner cancels out. The gate holds
+// the incremental path.
+func reportSubscribe() (baseline, error) {
 	const rows = 100000
 	const locations = 8
+	// Per-path epoch counts: the incremental pass is microseconds per epoch
+	// and needs a long run to out-measure scheduler noise; the poll pass is
+	// milliseconds per epoch and a long run would take minutes.
 	const incEpochs = 2000
 	const pollEpochs = 20
 	fmt.Printf("## Subscribe — incremental standing views vs cold-Select polling (GOMAXPROCS=%d, %d rows)\n\n",
 		runtime.GOMAXPROCS(0), rows)
-	t0 := time.Date(2026, 6, 1, 0, 0, 0, 0, time.UTC)
-	trees := make([]*flowtree.Tree, 16)
-	for i := range trees {
-		tr, err := flowtree.New(0)
-		if err != nil {
-			return err
-		}
-		tr.Add(flow.Record{
-			Key:     flow.Exact(flow.ProtoTCP, flow.IPv4(0x0A000000+i), 0xC0A80105, 40000, 443),
-			Packets: 1, Bytes: uint64(100 + i),
-		})
-		trees[i] = tr
+	trees, err := syntheticTrees()
+	if err != nil {
+		return nil, err
 	}
-	build := func(opts ...flowdb.Option) (*flowdb.DB, error) {
-		all := make([]flowdb.Row, rows)
-		for i := range all {
-			all[i] = flowdb.Row{
-				Location: fmt.Sprintf("site%02d", i%locations),
-				Start:    t0.Add(time.Duration(i/locations) * time.Minute),
-				Width:    time.Minute,
-				Tree:     trees[i%len(trees)],
-			}
-		}
-		db := flowdb.New(opts...)
-		return db, db.InsertBatch(all)
-	}
-	base := t0.Add(365 * 24 * time.Hour) // epochs land after every preloaded row
+	base := epoch0.Add(365 * 24 * time.Hour) // epochs land after every preloaded row
 	batchAt := func(i int) []flowdb.Row {
 		batch := make([]flowdb.Row, locations)
 		for j := range batch {
@@ -101,7 +53,7 @@ func reportSubscribe(outPath, comparePath string, tol float64) error {
 		return batch
 	}
 	incremental := func(views int) (float64, error) {
-		db, err := build()
+		db, _, err := syntheticDB(trees, rows, locations)
 		if err != nil {
 			return 0, err
 		}
@@ -127,7 +79,7 @@ func reportSubscribe(outPath, comparePath string, tol float64) error {
 		return float64(incEpochs*views) / time.Since(start).Seconds(), nil
 	}
 	poll := func(views int) (float64, error) {
-		db, err := build(flowdb.WithCacheEntries(0))
+		db, _, err := syntheticDB(trees, rows, locations, flowdb.WithCacheEntries(0))
 		if err != nil {
 			return 0, err
 		}
@@ -145,116 +97,30 @@ func reportSubscribe(outPath, comparePath string, tol float64) error {
 		}
 		return float64(pollEpochs*views) / time.Since(start).Seconds(), nil
 	}
-	baseOut := subscribeBaseline{Experiment: "subscribe", Rows: rows, IncEpochs: incEpochs, PollEpochs: pollEpochs}
+	var entries []cell
 	fmt.Println("| views | incremental upd/s | poll upd/s | speedup |")
 	fmt.Println("|---|---|---|---|")
 	var tooSlow bool
 	for _, views := range []int{1, 8} {
-		const reps = 5
-		incRuns := make([]float64, 0, reps)
-		pollRuns := make([]float64, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			ups, err := incremental(views)
-			if err != nil {
-				return err
-			}
-			incRuns = append(incRuns, ups)
-			ups, err = poll(views)
-			if err != nil {
-				return err
-			}
-			pollRuns = append(pollRuns, ups)
+		runs, err := passes(5,
+			func() (float64, error) { return incremental(views) },
+			func() (float64, error) { return poll(views) })
+		if err != nil {
+			return nil, err
 		}
-		incMed, pollMed := median(incRuns), median(pollRuns)
+		incMed, pollMed := median(runs[0]), median(runs[1])
 		speedup := incMed / pollMed
 		fmt.Printf("| %d | %.0f | %.0f | %.1fx |\n", views, incMed, pollMed, speedup)
 		if views == 8 && speedup < 10 {
 			tooSlow = true
 		}
-		baseOut.Entries = append(baseOut.Entries, subscribeEntry{
-			Views: views, IncUPS: incMed, PollUPS: pollMed, Speedup: speedup,
+		entries = append(entries, cell{
+			"views": float64(views), "incremental_updates_per_sec": incMed, "poll_updates_per_sec": pollMed, "speedup": speedup,
 		})
 	}
-	if outPath != "" {
-		buf, err := json.MarshalIndent(baseOut, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nbaseline written to %s\n", outPath)
-	}
-	if comparePath != "" {
-		if err := compareSubscribe(baseOut, comparePath, tol); err != nil {
-			return err
-		}
-	}
+	b := baseline{"": {{"rows": rows, "inc_epochs": incEpochs, "poll_epochs": pollEpochs}}, "entries": entries}
 	if tooSlow {
-		return errors.New("incremental standing views fell below 10x of cold-Select polling at 8 views")
+		return b, errors.New("incremental standing views fell below 10x of cold-Select polling at 8 views")
 	}
-	return nil
-}
-
-// compareSubscribe diffs freshly measured view-maintenance throughput
-// against a stored baseline with the same drift rules as the other gates:
-// an incremental-path regression beyond tol fails, and any configuration
-// drift exits 2 so CI can distinguish it from runner noise.
-func compareSubscribe(fresh subscribeBaseline, comparePath string, tol float64) error {
-	buf, err := os.ReadFile(comparePath)
-	if err != nil {
-		return fmt.Errorf("read baseline: %w", err)
-	}
-	var stored subscribeBaseline
-	if err := json.Unmarshal(buf, &stored); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", comparePath, err)
-	}
-	if stored.Rows != fresh.Rows || stored.IncEpochs != fresh.IncEpochs || stored.PollEpochs != fresh.PollEpochs {
-		return fmt.Errorf("%w: baseline %s measured %d rows / %d+%d epochs, this run %d / %d+%d — regenerate the baseline",
-			errDrift, comparePath, stored.Rows, stored.IncEpochs, stored.PollEpochs,
-			fresh.Rows, fresh.IncEpochs, fresh.PollEpochs)
-	}
-	byCfg := make(map[int]subscribeEntry, len(stored.Entries))
-	for _, e := range stored.Entries {
-		byCfg[e.Views] = e
-	}
-	fmt.Printf("\ncomparison vs %s (tolerance %.0f%%):\n", comparePath, tol*100)
-	var regressed, drifted bool
-	matched := 0
-	for _, e := range fresh.Entries {
-		want, ok := byCfg[e.Views]
-		if !ok {
-			fmt.Printf("  views=%d: MISSING from baseline\n", e.Views)
-			drifted = true
-			continue
-		}
-		matched++
-		ratio := e.IncUPS / want.IncUPS
-		verdict := "ok"
-		if ratio < 1-tol {
-			verdict = "REGRESSION"
-			regressed = true
-		}
-		fmt.Printf("  views=%d: %.0f vs %.0f incremental upd/s (%.2fx), speedup %.1fx %s\n",
-			e.Views, e.IncUPS, want.IncUPS, ratio, e.Speedup, verdict)
-	}
-	if matched != len(stored.Entries) {
-		fmt.Printf("  %d baseline entr(ies) not re-measured\n", len(stored.Entries)-matched)
-		drifted = true
-	}
-	switch {
-	case drifted:
-		return fmt.Errorf("%w: subscribe gate vs %s — regenerate with make bench-baseline", errDrift, comparePath)
-	case regressed:
-		return fmt.Errorf("standing-view maintenance throughput gate failed against %s", comparePath)
-	}
-	return nil
-}
-
-// median of a handful of throughput passes; with an even count the lower
-// middle is taken, biasing the recorded baseline slightly conservative.
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[(len(s)-1)/2]
+	return b, nil
 }

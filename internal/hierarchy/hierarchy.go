@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"megadata/internal/datastore"
@@ -18,6 +17,7 @@ import (
 	"megadata/internal/flowtree"
 	"megadata/internal/primitive"
 	"megadata/internal/simnet"
+	"megadata/internal/uplink"
 )
 
 // Node is one site in the hierarchy.
@@ -296,37 +296,23 @@ func (h *Hierarchy) Rollup() ([]LevelBytes, error) {
 	for depth := len(byDepth) - 1; depth > 0; depth-- {
 		nodes := byDepth[depth]
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Site < nodes[j].Site })
+		sizes := make([]uint64, len(nodes))
 		nodeErrs := make([]error, len(nodes))
-		var mu sync.Mutex
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
+		uplink.ForEach(len(nodes), workers, func(i int) {
+			sizes[i], nodeErrs[i] = h.exportNode(nodes[i])
+		})
 		for i, n := range nodes {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, n *Node) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				size, err := h.exportNode(n)
-				if err != nil {
-					nodeErrs[i] = err
-					return
-				}
-				mu.Lock()
-				lb := perLevel[n.Level]
-				if lb == nil {
-					lb = &LevelBytes{Level: n.Level}
-					perLevel[n.Level] = lb
-				}
-				lb.Bytes += size
-				lb.Nodes++
-				mu.Unlock()
-			}(i, n)
-		}
-		wg.Wait()
-		for _, err := range nodeErrs {
-			if err != nil {
-				errs = append(errs, err)
+			if nodeErrs[i] != nil {
+				errs = append(errs, nodeErrs[i])
+				continue
 			}
+			lb := perLevel[n.Level]
+			if lb == nil {
+				lb = &LevelBytes{Level: n.Level}
+				perLevel[n.Level] = lb
+			}
+			lb.Bytes += sizes[i]
+			lb.Nodes++
 		}
 	}
 	// Leaves first in the report (deepest level first).
